@@ -97,7 +97,7 @@ golden:
 	$(GO) test -timeout $(TEST_TIMEOUT) -run 'TestGolden|TestSparseDense' ./internal/experiments
 
 alloc-check:
-	$(GO) test -timeout $(TEST_TIMEOUT) -count=1 -run 'ZeroAllocs' -v ./internal/medium ./internal/traffic
+	$(GO) test -timeout $(TEST_TIMEOUT) -count=1 -run 'ZeroAllocs|EpochFlushAllocs' -v ./internal/medium ./internal/traffic
 
 bench-json:
 	$(GO) run ./cmd/cmapbench -benchjson

@@ -121,12 +121,20 @@ func BenchmarkSaturatedSteadyState(b *testing.B) {
 	}
 }
 
-// BenchmarkIncrementalUpdate measures one MoveNode through the
-// incremental patch path at each scale size — O(k) per move, so ns/op
-// should stay roughly flat as n grows.
+// BenchmarkIncrementalUpdate measures one MoveNode plus the read that
+// flushes its patch at each scale size — O(k) per move, so ns/op should
+// stay roughly flat as n grows.
 func BenchmarkIncrementalUpdate(b *testing.B) {
 	for _, n := range ScaleSizes {
 		b.Run(fmt.Sprintf("n=%d", n), BenchIncrementalUpdate(n))
+	}
+}
+
+// BenchmarkMobilityEpoch moves every node and flushes once at each
+// scale size — the batched patch one mobility epoch costs.
+func BenchmarkMobilityEpoch(b *testing.B) {
+	for _, n := range ScaleSizes {
+		b.Run(fmt.Sprintf("n=%d", n), BenchMobilityEpoch(n))
 	}
 }
 

@@ -273,12 +273,13 @@ func BenchShardedSteadyState(n, shards int) func(b *testing.B) {
 	}
 }
 
-// BenchIncrementalUpdate measures one MoveNode through the incremental
-// patch path: re-bucket the moved node in the grid, rebuild its own
-// delivery list from the candidate set, and patch every affected
-// neighbour list copy-on-write. The cost is O(k) in the audible
-// neighbourhood, independent of n — the property that makes per-epoch
-// mobility affordable at scale.
+// BenchIncrementalUpdate measures one node's full incremental patch:
+// a MoveNode (re-bucket the node in the grid and mark it dirty) plus the
+// read that flushes it (rebuild the node's own list from the candidate
+// set and merge its new entries into every affected neighbour list).
+// MoveNode alone only records the move, so the read is part of each
+// iteration. The cost is O(k) in the audible neighbourhood, independent
+// of n — the property that makes per-epoch mobility affordable at scale.
 func BenchIncrementalUpdate(n int) func(b *testing.B) {
 	s := topo.UniformDisk(n, ScaleDensity, 1)
 	return func(b *testing.B) {
@@ -295,6 +296,32 @@ func BenchIncrementalUpdate(n int) func(b *testing.B) {
 			// place instead of drifting out of its neighbourhood.
 			d := 0.5 - float64(i%2)
 			m.MoveNode(idx, geo.Point{X: p.X + d, Y: p.Y + d})
+			m.NeighborCount(idx)
+		}
+	}
+}
+
+// BenchMobilityEpoch measures one whole mobility epoch: every node
+// moves, then one read flushes the batch — each affected pair's gain
+// computed once, each affected list rebuilt once into one new array.
+// Divided by n, it reads against IncrementalUpdate as the saving of
+// batching a full epoch over patching node by node.
+func BenchMobilityEpoch(n int) func(b *testing.B) {
+	s := topo.UniformDisk(n, ScaleDensity, 1)
+	return func(b *testing.B) {
+		m := s.Build(sim.NewScheduler(), sim.NewRNG(1))
+		if !m.GridBacked() {
+			b.Fatal("scale scenario is not grid-backed — the incremental path under test is not engaged")
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			d := 0.5 - float64(i%2)
+			for idx := 0; idx < n; idx++ {
+				p := m.Position(idx)
+				m.MoveNode(idx, geo.Point{X: p.X + d, Y: p.Y + d})
+			}
+			m.NeighborCount(0)
 		}
 	}
 }
@@ -341,6 +368,12 @@ func ScaleBenchmarks() []ScaleBenchmark {
 		out = append(out, ScaleBenchmark{
 			Name: fmt.Sprintf("IncrementalUpdate/n=%d", n),
 			Run:  BenchIncrementalUpdate(n),
+		})
+	}
+	for _, n := range ScaleSizes {
+		out = append(out, ScaleBenchmark{
+			Name: fmt.Sprintf("MobilityEpoch/n=%d", n),
+			Run:  BenchMobilityEpoch(n),
 		})
 	}
 	for _, n := range ScaleSizes {

@@ -88,6 +88,51 @@ func TestOverlappingTransmitZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestMobilityEpochFlushAllocsOnce gates the batched list patch: once
+// the grid's buckets and the flush's scratch buffers have warmed up,
+// moving every node of a grid-backed medium and then reading it must
+// allocate exactly once — the backing array the flush carves every
+// rebuilt list from. MoveNode itself allocates nothing.
+func TestMobilityEpochFlushAllocsOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation perturbs allocation counts")
+	}
+	rng := sim.NewRNG(5)
+	pts := scatter(60, geo.Rect{MinX: 0, MinY: 0, MaxX: 120, MaxY: 80}, rng)
+	model := &radio.LogDistance{RefLossDB: 50, Exponent: 3.0, ShadowSigmaDB: 4, Seed: 0xa110c}
+	m := NewWithWorkers(sim.NewScheduler(), phy.DefaultParams(), model, pts, sim.NewRNG(1), 1)
+	if !m.GridBacked() {
+		t.Fatal("expected a grid-backed medium")
+	}
+	step := 0
+	move := func() {
+		// Oscillate ±0.5 m so nodes near a cell edge cross it both ways
+		// without drifting out of their neighbourhood.
+		d := 0.5 - float64(step%2)
+		step++
+		for i := 0; i < m.NodeCount(); i++ {
+			p := m.Position(i)
+			m.MoveNode(i, geo.Point{X: p.X + d, Y: p.Y + d})
+		}
+	}
+	epoch := func() {
+		move()
+		m.NeighborCount(0)
+	}
+	for i := 0; i < 64; i++ {
+		epoch()
+	}
+	for k := 0; k < 20; k++ {
+		if allocs := testing.AllocsPerRun(1, epoch); allocs != 1 {
+			t.Fatalf("epoch %d: moving every node and reading allocates %.0f objects, want exactly 1", k, allocs)
+		}
+	}
+	if allocs := testing.AllocsPerRun(1, move); allocs != 0 {
+		t.Fatalf("moving every node allocates %.0f objects before the read, want 0", allocs)
+	}
+	m.NeighborCount(0)
+}
+
 // BenchmarkTransmitSteadyState measures one full transmission lifecycle
 // through the hot path (B/op and allocs/op are the headline numbers).
 func BenchmarkTransmitSteadyState(b *testing.B) {

@@ -33,4 +33,17 @@
 // domain the radios' segment fan-out (SignalStart/SignalEnd) computes
 // in: the reception math never round-trips through dB per segment.
 // TestTransmitSteadyStateZeroAllocs gates this at 0 allocs/frame.
+//
+// # Mobility: deferred, batched list patches
+//
+// MoveNode records a move (position, grid bucket, dirty mark) and
+// defers the list patch: every reader flushes the dirty set first, which
+// costs one length check when nothing moved. A mobility epoch moves
+// every node before the next read, so one flush patches it: each pair
+// with a moved end gets one gain evaluation (range-bounded models are
+// bitwise reciprocal, so one value serves both lists), each affected
+// list is rebuilt once, and all rebuilt lists share one new backing
+// array per flush. Old arrays are never written, which keeps in-flight
+// transmissions' delivery snapshots valid. The patched lists are
+// bit-identical to a from-scratch build over the current positions.
 package medium

@@ -2,8 +2,10 @@ package medium
 
 import (
 	"math"
+	"slices"
 	"testing"
 
+	"repro/internal/frame"
 	"repro/internal/geo"
 	"repro/internal/mobility"
 	"repro/internal/phy"
@@ -49,6 +51,41 @@ func requireListsEqual(t *testing.T, label string, got, want [][]Delivery) {
 	}
 }
 
+// liveLists reads every delivery list through DeliveryList, so any
+// pending moves are flushed exactly as a simulation read would.
+func liveLists(m *Medium) [][]Delivery {
+	return listsVia(m, 0)
+}
+
+// listReaders names the public readers listsVia can reconstruct the
+// delivery lists through.
+var listReaders = []string{"DeliveryList", "ForEachNeighbor", "GainMW"}
+
+// listsVia reconstructs every delivery list through one public reader
+// (an index into listReaders), nil when empty like the built lists. The
+// first call after a move is the read that flushes it.
+func listsVia(m *Medium, reader int) [][]Delivery {
+	n := m.NodeCount()
+	out := make([][]Delivery, n)
+	for i := 0; i < n; i++ {
+		switch reader {
+		case 0:
+			out[i] = m.DeliveryList(i)
+		case 1:
+			m.ForEachNeighbor(i, func(dst int, g float64) {
+				out[i] = append(out[i], Delivery{Dst: dst, GainMW: g})
+			})
+		case 2:
+			for b := 0; b < n; b++ {
+				if g, ok := m.GainMW(i, b); ok {
+					out[i] = append(out[i], Delivery{Dst: b, GainMW: g})
+				}
+			}
+		}
+	}
+	return out
+}
+
 // TestIncrementalMatchesRebuild drives each mobility model over a
 // log-distance testbed (with shadowing re-draws) and proves, after
 // every movement epoch, that the incrementally patched delivery lists
@@ -80,8 +117,9 @@ func TestIncrementalMatchesRebuild(t *testing.T) {
 				if !gridBacked {
 					t.Fatal("expected the grid construction path")
 				}
-				requireListsEqual(t, "sparse oracle", m.deliveries, sparse)
-				requireListsEqual(t, "dense oracle", m.deliveries, denseDeliveries(params, ch, m.positions))
+				got := liveLists(m)
+				requireListsEqual(t, "sparse oracle", got, sparse)
+				requireListsEqual(t, "dense oracle", got, denseDeliveries(params, ch, m.positions))
 			}
 			if mg.Epochs != 30 {
 				t.Fatalf("manager applied %d epochs, want 30", mg.Epochs)
@@ -119,33 +157,160 @@ func TestIncrementalDensePath(t *testing.T) {
 	if m.mv.grid != nil {
 		t.Fatal("matrix model must take the dense patch path")
 	}
-	requireListsEqual(t, "dense patch", m.deliveries, want)
+	requireListsEqual(t, "dense patch", liveLists(m), want)
 }
 
+// countingHandler counts decoded frames; the other upcalls are no-ops.
+type countingHandler struct {
+	nopHandler
+	decoded int
+}
+
+func (h *countingHandler) OnFrame(frame.Frame, phy.RxInfo) { h.decoded++ }
+
 // TestMoveNodePreservesInFlightFanout pins the snapshot invariant: a
-// transmission that started before a move must deliver SignalEnd to the
-// same receiver set SignalStart reached, even if the move pushed the
-// receiver off the live delivery list mid-frame.
+// real transmission that started before some moves must deliver
+// SignalEnd to the same receiver set SignalStart reached, even when
+// later moves push the receiver off the live list and the reads after
+// them flush the patch — twice, so a flush that recycled the previous
+// flush's backing array would be caught.
 func TestMoveNodePreservesInFlightFanout(t *testing.T) {
 	params := phy.DefaultParams()
 	model := &radio.LogDistance{RefLossDB: 50, Exponent: 3.5}
-	pts := []geo.Point{{X: 0, Y: 0}, {X: 10, Y: 0}}
+	pts := []geo.Point{{X: 0, Y: 0}, {X: 10, Y: 0}, {X: 20, Y: 0}}
 	sched := sim.NewScheduler()
 	m := New(sched, params, model, pts, sim.NewRNG(3))
-	if len(m.deliveries[0]) != 1 {
-		t.Fatalf("want an audible pair, got %d deliveries", len(m.deliveries[0]))
+	rx := &countingHandler{}
+	m.Radio(0).SetHandler(nopHandler{})
+	m.Radio(1).SetHandler(rx)
+	m.Radio(2).SetHandler(nopHandler{})
+	// A zero-length move and a read first, so the snapshot below lives
+	// in a flush's backing array rather than the construction's.
+	m.MoveNode(0, pts[0])
+	live := m.DeliveryList(0)
+	if len(live) != 2 || live[0].Dst != 1 {
+		t.Fatalf("want node 0 heard by nodes 1 and 2, got %v", live)
 	}
-	snapshot := m.deliveries[0]
-	tx := m.acquireTx()
-	*tx = phy.Transmission{TxID: 1, From: 0, Deliveries: m.deliveries[0]}
-	// Move the receiver far out of range: the live list empties...
-	m.MoveNode(1, geo.Point{X: 1e6, Y: 0})
-	if len(m.deliveries[0]) != 0 {
-		t.Fatalf("live list should be empty after the move, has %d", len(m.deliveries[0]))
+	snapshot := append([]Delivery(nil), live...)
+
+	f := &frame.Dot11Data{Src: frame.AddrFromID(0), Dst: frame.AddrFromID(1), PayloadLen: 1400}
+	m.Radio(0).Transmit(f, phy.RateByID(phy.Rate6Mbps))
+	if m.Radio(1).ActiveSignals() != 1 {
+		t.Fatal("SignalStart did not reach node 1")
 	}
-	// ...but the snapshot still names the original receiver set.
-	if len(tx.Deliveries) != 1 || tx.Deliveries[0].Dst != snapshot[0].Dst ||
-		math.Float64bits(tx.Deliveries[0].GainMW) != math.Float64bits(snapshot[0].GainMW) {
-		t.Fatal("transmit-time snapshot was disturbed by MoveNode")
+	// Two epochs of moves mid-frame, each flushed by a read: the
+	// receiver leaves range, and every list is rebuilt twice.
+	for step, x := range []float64{1e6, 2e6} {
+		m.MoveNode(1, geo.Point{X: x, Y: 0})
+		m.MoveNode(2, geo.Point{X: 21 + float64(step), Y: 0})
+		m.MoveNode(0, geo.Point{X: float64(step), Y: 1})
+		if got := m.NeighborCount(1); got != 0 {
+			t.Fatalf("step %d: the moved receiver still hears %d nodes", step, got)
+		}
+	}
+	requireListsEqual(t, "snapshot", [][]Delivery{live}, [][]Delivery{snapshot})
+	sched.RunAll()
+	if m.Radio(1).ActiveSignals() != 0 || rx.decoded != 1 {
+		t.Fatalf("node 1: %d signals still active, %d frames decoded; want 0 and 1",
+			m.Radio(1).ActiveSignals(), rx.decoded)
+	}
+}
+
+// TestReadersMatchOracleMidEpoch moves part of a grid-backed mobile
+// medium — positions and shadowing epochs — and then reads it through
+// one public reader, the read that flushes the pending patch. Every
+// reader must answer bit for bit what BuildDeliveries and the dense
+// reference over the current positions give: DeliveryList,
+// ForEachNeighbor, GainMW, NeighborCount, RxPowerDBm, and the receiver
+// set of a real Transmit.
+func TestReadersMatchOracleMidEpoch(t *testing.T) {
+	params := phy.DefaultParams()
+	// Audible out to roughly 45 m in a 200 × 150 m arena, so moves of
+	// up to ±15 m change list membership, not just gains.
+	arena := geo.Rect{MinX: 0, MinY: 0, MaxX: 200, MaxY: 150}
+	inner := &radio.LogDistance{RefLossDB: 60, Exponent: 3.5, ShadowSigmaDB: 4, Seed: 0x5eed}
+	rng := sim.NewRNG(11)
+	pts := scatter(40, arena, rng.Stream(1))
+	n := len(pts)
+	ch := mobility.NewChannel(inner, n)
+	sched := sim.NewScheduler()
+	m := NewWithWorkers(sched, params, ch, pts, rng.Stream(2), 1)
+	for i := 0; i < n; i++ {
+		m.Radio(i).SetHandler(nopHandler{})
+	}
+	moves := rng.Stream(3)
+	f := &frame.Dot11Data{Src: frame.AddrFromID(0), Dst: frame.AddrFromID(1), PayloadLen: 200}
+
+	readers := []struct {
+		name  string
+		check func(t *testing.T, sparse [][]Delivery, dense *Medium)
+	}{
+		{"DeliveryList", func(t *testing.T, sparse [][]Delivery, _ *Medium) {
+			requireListsEqual(t, "DeliveryList", listsVia(m, 0), sparse)
+		}},
+		{"ForEachNeighbor", func(t *testing.T, sparse [][]Delivery, _ *Medium) {
+			requireListsEqual(t, "ForEachNeighbor", listsVia(m, 1), sparse)
+		}},
+		{"GainMW", func(t *testing.T, sparse [][]Delivery, _ *Medium) {
+			requireListsEqual(t, "GainMW", listsVia(m, 2), sparse)
+		}},
+		{"NeighborCount", func(t *testing.T, sparse [][]Delivery, _ *Medium) {
+			for i := range sparse {
+				if got := m.NeighborCount(i); got != len(sparse[i]) {
+					t.Fatalf("NeighborCount(%d) = %d, oracle %d", i, got, len(sparse[i]))
+				}
+			}
+		}},
+		{"RxPowerDBm", func(t *testing.T, _ [][]Delivery, dense *Medium) {
+			for a := 0; a < n; a++ {
+				for b := 0; b < n; b++ {
+					got, want := m.RxPowerDBm(a, b), dense.RxPowerDBm(a, b)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("RxPowerDBm(%d,%d) = %x, dense %x", a, b, math.Float64bits(got), math.Float64bits(want))
+					}
+				}
+			}
+		}},
+		{"Transmit", func(t *testing.T, sparse [][]Delivery, _ *Medium) {
+			src := moves.Intn(n)
+			m.Radio(src).Transmit(f, phy.RateByID(phy.Rate6Mbps))
+			var got, want []int
+			for i := 0; i < n; i++ {
+				if m.Radio(i).ActiveSignals() > 0 {
+					got = append(got, i)
+				}
+			}
+			for _, d := range sparse[src] {
+				want = append(want, d.Dst)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("Transmit from %d reached %v, oracle %v", src, got, want)
+			}
+			sched.RunAll()
+		}},
+	}
+	for round := 0; round < 4; round++ {
+		for _, r := range readers {
+			// A partial epoch: about a third of the nodes move, some with
+			// a shadowing re-draw, and nothing is read until r.check.
+			for i := 0; i < n; i++ {
+				if moves.Float64() >= 1.0/3 {
+					continue
+				}
+				if moves.Float64() < 0.3 {
+					ch.Bump(i)
+				}
+				p := m.Position(i)
+				m.MoveNode(i, geo.Point{X: p.X + 30*(moves.Float64()-0.5), Y: p.Y + 30*(moves.Float64()-0.5)})
+			}
+			cur := append([]geo.Point(nil), m.positions...)
+			sparse, _ := BuildDeliveries(params, ch, cur, 1)
+			requireListsEqual(t, "dense reference", denseDeliveries(params, ch, cur), sparse)
+			dense := NewDense(sim.NewScheduler(), params, ch, cur, sim.NewRNG(1))
+			if len(m.dirty) == 0 {
+				t.Fatalf("round %d %s: no pending moves before the read", round, r.name)
+			}
+			r.check(t, sparse, dense)
+		}
 	}
 }

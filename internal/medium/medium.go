@@ -44,6 +44,10 @@ type Medium struct {
 	// buffers); built lazily on the first MoveNode so static runs pay
 	// nothing for it.
 	mv *mover
+	// dirty lists the nodes moved since the last flush, whose list
+	// patches are still pending (see flush). It lives here rather than
+	// in mv so a read's up-to-date check is a single length test.
+	dirty []int
 }
 
 // New builds a medium over the given node positions. Each node gets a
@@ -117,21 +121,20 @@ func (m *Medium) GridBacked() bool { return m.gridBacked }
 
 // NeighborCount returns how many receivers hear node i above the
 // delivery floor.
-func (m *Medium) NeighborCount(i int) int { return len(m.deliveries[i]) }
+func (m *Medium) NeighborCount(i int) int { return len(m.list(i)) }
 
 // ForEachNeighbor calls fn for every receiver that hears node i above
 // the delivery floor, in ascending receiver order, with the power it
 // receives in mW.
 func (m *Medium) ForEachNeighbor(i int, fn func(dst int, gainMW float64)) {
-	for _, d := range m.deliveries[i] {
+	for _, d := range m.list(i) {
 		fn(d.Dst, d.GainMW)
 	}
 }
 
-// lookupGain finds the stored delivery gain from→to, if to is audible.
-func (m *Medium) lookupGain(from, to int) (float64, bool) {
-	list := m.deliveries[from]
-	k, ok := slices.BinarySearchFunc(list, to, func(d Delivery, dst int) int {
+// findGain returns the gain of list's entry for dst, if it has one.
+func findGain(list []Delivery, dst int) (float64, bool) {
+	k, ok := slices.BinarySearchFunc(list, dst, func(d Delivery, dst int) int {
 		return cmp.Compare(d.Dst, dst)
 	})
 	if ok {
@@ -149,7 +152,7 @@ func (m *Medium) GainMW(from, to int) (float64, bool) {
 	if from == to {
 		return 0, false
 	}
-	return m.lookupGain(from, to)
+	return findGain(m.list(from), to)
 }
 
 // RxPowerDBm returns the power at which node "to" hears node "from", in
@@ -160,7 +163,7 @@ func (m *Medium) RxPowerDBm(from, to int) float64 {
 	if from == to {
 		return radio.MWToDBm(0)
 	}
-	if g, ok := m.lookupGain(from, to); ok {
+	if g, ok := findGain(m.list(from), to); ok {
 		return radio.MWToDBm(g)
 	}
 	return radio.MWToDBm(m.gain(from, to))
@@ -207,9 +210,10 @@ func (m *Medium) HandleEvent(arg any) {
 
 // finishTransmission delivers SignalEnd to every receiver of tx in the
 // same ascending order SignalStart used, then recycles tx. The walk is
-// over the transmit-time snapshot, not the live list: MoveNode patches
-// lists copy-on-write, so the snapshot keeps SignalStart and SignalEnd
-// pinned to one receiver set even while nodes move mid-frame.
+// over the transmit-time snapshot, not the live list: a flush of the
+// moves made mid-frame rebuilds lists into a new backing array and
+// never writes an old one, so the snapshot keeps SignalStart and
+// SignalEnd pinned to one receiver set even while nodes move.
 func (m *Medium) finishTransmission(tx *phy.Transmission) {
 	for _, d := range tx.Deliveries {
 		m.radios[d.Dst].SignalEnd(tx)
@@ -223,7 +227,8 @@ func (m *Medium) finishTransmission(tx *phy.Transmission) {
 // on the sender's delivery list and posts one signal-end fan-out event
 // plus the transmitter-done event — two heap-stored events per
 // transmission, regardless of receiver count, and zero allocations in
-// steady state.
+// steady state. The first transmission after a mobility epoch flushes
+// the epoch's pending list patches before it reads the sender's list.
 func (m *Medium) Transmit(from *phy.Radio, f frame.Frame, r phy.Rate) sim.Time {
 	src := from.ID()
 	if src < 0 || src >= len(m.radios) || m.radios[src] != from {
@@ -243,8 +248,8 @@ func (m *Medium) Transmit(from *phy.Radio, f frame.Frame, r phy.Rate) sim.Time {
 		End:   end,
 		// Snapshot the delivery list (a slice header copy, no
 		// allocation): the end fan-out must reach exactly this set even
-		// if MoveNode patches the live list mid-frame.
-		Deliveries: m.deliveries[src],
+		// if moves during the frame get the live list rebuilt.
+		Deliveries: m.list(src),
 	}
 	for _, d := range tx.Deliveries {
 		m.radios[d.Dst].SignalStart(tx, d.GainMW)

@@ -12,9 +12,11 @@ import (
 
 // FuzzDeliveryPatch drives random move sequences — zero-length moves,
 // cell-boundary crossings, and far out-of-arena jumps — through
-// MoveNode and checks after every move that the patched delivery lists
-// are bit-identical to both the sparse grid build and the dense O(n²)
-// reference over the current positions.
+// MoveNode, with reads falling at random points between moves, so each
+// read flushes a random-sized batch of pending moves. After every read,
+// and once more at the end, the delivery lists seen through a randomly
+// chosen public reader must be bit-identical to both the sparse grid
+// build and the dense O(n²) reference over the current positions.
 func FuzzDeliveryPatch(f *testing.F) {
 	f.Add([]byte{6, 10, 20, 60, 90, 120, 5, 40, 80, 15, 33, 77, 0, 1, 0, 0, 1, 0, 120, 120, 2, 1, 9})
 	f.Add([]byte("delivery-patch-seed: shuffle everyone around"))
@@ -40,15 +42,16 @@ func FuzzDeliveryPatch(f *testing.F) {
 			pts[i] = geo.Point{X: float64(next()), Y: float64(next())}
 		}
 		m := NewWithWorkers(sim.NewScheduler(), params, model, pts, sim.NewRNG(1), 1)
-		verify := func() {
+		verify := func(reader int) {
 			sparse, _ := BuildDeliveries(params, model, m.positions, 1)
 			dense := denseDeliveries(params, model, m.positions)
+			lists := listsVia(m, reader)
 			for _, oracle := range []struct {
 				name  string
 				lists [][]Delivery
 			}{{"sparse", sparse}, {"dense", dense}} {
 				for i := range oracle.lists {
-					got, want := m.deliveries[i], oracle.lists[i]
+					got, want := lists[i], oracle.lists[i]
 					if (got == nil) != (want == nil) || len(got) != len(want) {
 						t.Fatalf("%s oracle: node %d list len %d (nil=%v), want %d (nil=%v)",
 							oracle.name, i, len(got), got == nil, len(want), want == nil)
@@ -65,11 +68,12 @@ func FuzzDeliveryPatch(f *testing.F) {
 				}
 			}
 		}
-		verify()
+		verify(0)
 		for len(data) >= 3 {
 			i := int(next()) % n
+			op := next()
 			var p geo.Point
-			switch next() % 4 {
+			switch op % 4 {
 			case 0: // zero-length move
 				p = m.positions[i]
 			case 1: // far out of the construction bounds (edge-cell clamp)
@@ -81,7 +85,10 @@ func FuzzDeliveryPatch(f *testing.F) {
 				}
 			}
 			m.MoveNode(i, p)
-			verify()
+			if op&0x10 != 0 {
+				verify(int(op>>5) % len(listReaders))
+			}
 		}
+		verify(0)
 	})
 }

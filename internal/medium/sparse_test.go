@@ -76,7 +76,7 @@ func TestSparseRxPowerMatchesModelBelowFloor(t *testing.T) {
 			if sp != dp && !(math.IsInf(sp, -1) && math.IsInf(dp, -1)) {
 				t.Fatalf("RxPowerDBm(%d,%d): sparse %v, dense %v", a, b, sp, dp)
 			}
-			if _, ok := sparse.lookupGain(a, b); ok {
+			if _, ok := sparse.GainMW(a, b); ok {
 				stored++
 			} else if a != b {
 				recomputed++

@@ -50,6 +50,13 @@ type Model interface {
 // heard above the corresponding power floor, so the bound must be
 // conservative — never smaller than the true cutoff. Models without
 // geometry (e.g. Matrix) simply do not implement it.
+//
+// A RangeBounder must also be bitwise reciprocal: Loss(a, pa, b, pb) and
+// Loss(b, pb, a, pa) must have identical IEEE-754 bits, not merely be
+// close. The medium's batched delivery-list patch evaluates each pair
+// once and stores the result in both nodes' lists, so a model whose two
+// directions differ in the last bit would make a patched list differ
+// from a from-scratch build.
 type RangeBounder interface {
 	MaxRange(maxLossDB float64) float64
 }

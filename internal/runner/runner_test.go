@@ -1,9 +1,10 @@
 package runner
 
 import (
-	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/sim"
 )
@@ -70,12 +71,22 @@ func TestProgressReporting(t *testing.T) {
 	}
 }
 
+// TestMapUsesMultipleGoroutines proves the pool really runs trials
+// concurrently. Each trial blocks at a rendezvous until a second trial
+// is in flight, so the outcome does not depend on how the scheduler
+// happens to interleave workers: a pool that runs trials concurrently
+// always reaches peak 2, even on one CPU (a blocked worker yields to
+// the others), and a serial pool times out at peak 1.
 func TestMapUsesMultipleGoroutines(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		t.Skip("single-CPU environment")
-	}
 	var peak atomic.Int64
 	var cur atomic.Int64
+	var once sync.Once
+	second := make(chan struct{}) // closed once two trials overlap
+	release := func() { once.Do(func() { close(second) }) }
+	// A serial pool never overlaps two trials: give up after a generous
+	// wait so it fails at peak 1 instead of hanging.
+	timeout := time.AfterFunc(30*time.Second, release)
+	defer timeout.Stop()
 	Map(Config{Workers: 4}, 64, func(i int) int {
 		c := cur.Add(1)
 		for {
@@ -84,6 +95,10 @@ func TestMapUsesMultipleGoroutines(t *testing.T) {
 				break
 			}
 		}
+		if c >= 2 {
+			release()
+		}
+		<-second
 		trial(i)
 		cur.Add(-1)
 		return 0
