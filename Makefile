@@ -15,9 +15,9 @@
 #   make docs-check documentation gate: gofmt diff, vet, package-comment
 #                   guard over internal/, markdown link check
 #   make fuzz-smoke short randomized pass of the checked-in fuzzers
-#                   (scheduler agenda, CMAP defer table, grid
-#                   re-bucketing, delivery-list patching) beyond their
-#                   seed corpora
+#                   (scheduler agenda, CMAP defer table, CMAP observation
+#                   table, grid re-bucketing, delivery-list patching)
+#                   beyond their seed corpora
 #   make conformance  the shared MAC conformance suite (every registered
 #                   arm: allocation, determinism, worker-equivalence and
 #                   conservation contracts) under the race detector
@@ -128,6 +128,7 @@ docs-check:
 fuzz-smoke:
 	$(GO) test -timeout $(TEST_TIMEOUT) -run='^$$' -fuzz=FuzzScheduler -fuzztime=5s ./internal/sim
 	$(GO) test -timeout $(TEST_TIMEOUT) -run='^$$' -fuzz=FuzzDeferTable -fuzztime=5s ./internal/core
+	$(GO) test -timeout $(TEST_TIMEOUT) -run='^$$' -fuzz=FuzzObservations -fuzztime=5s ./internal/core
 	$(GO) test -timeout $(TEST_TIMEOUT) -run='^$$' -fuzz=FuzzGridRebucket -fuzztime=5s ./internal/geo
 	$(GO) test -timeout $(TEST_TIMEOUT) -run='^$$' -fuzz=FuzzDeliveryPatch -fuzztime=5s ./internal/medium
 

@@ -175,11 +175,13 @@ func TestObservationsMerge(t *testing.T) {
 	cfg.Nvpkt = 4
 	o := newObservations(cfg)
 	src, dst := addr(1), addr(2)
-	k := obsKey{Src: src, VSeq: 7}
 
-	o.upsert(k, dst, 0, 100*sim.Millisecond, 120*sim.Millisecond, 101*sim.Millisecond)
-	o.upsert(k, dst, 0, 95*sim.Millisecond, 118*sim.Millisecond, 96*sim.Millisecond)
-	e := o.entries[k]
+	o.upsert(src, 7, dst, 0, 100*sim.Millisecond, 120*sim.Millisecond, 101*sim.Millisecond)
+	o.upsert(src, 7, dst, 0, 95*sim.Millisecond, 118*sim.Millisecond, 96*sim.Millisecond)
+	if o.size() != 1 {
+		t.Fatalf("two estimates of one virtual packet left %d entries", o.size())
+	}
+	e := o.find(src, 7)
 	if e.EstStart != 95*sim.Millisecond || e.EstEnd != 120*sim.Millisecond {
 		t.Errorf("merged interval [%v,%v], want [95ms,120ms]", e.EstStart, e.EstEnd)
 	}
@@ -191,8 +193,7 @@ func TestObservationsMerge(t *testing.T) {
 func TestObservationsOngoingAndVisibility(t *testing.T) {
 	cfg := DefaultConfig()
 	o := newObservations(cfg)
-	k := obsKey{Src: addr(1), VSeq: 1}
-	o.upsert(k, addr(2), 0, 0, 50*sim.Millisecond, 10*sim.Millisecond)
+	o.upsert(addr(1), 1, addr(2), 0, 0, 50*sim.Millisecond, 10*sim.Millisecond)
 
 	count := func(now sim.Time) int {
 		c := 0
@@ -213,8 +214,8 @@ func TestObservationsOngoingAndVisibility(t *testing.T) {
 func TestObservationsOverlapExcludesSource(t *testing.T) {
 	cfg := DefaultConfig()
 	o := newObservations(cfg)
-	o.upsert(obsKey{Src: addr(1), VSeq: 1}, addr(2), 0, 0, 10*sim.Millisecond, 0)
-	o.upsert(obsKey{Src: addr(3), VSeq: 1}, addr(4), 0, 0, 10*sim.Millisecond, 0)
+	o.upsert(addr(1), 1, addr(2), 0, 0, 10*sim.Millisecond, 0)
+	o.upsert(addr(3), 1, addr(4), 0, 0, 10*sim.Millisecond, 0)
 	var got []frame.Addr
 	o.overlapping(5*sim.Millisecond, addr(1), func(e *obsEntry) { got = append(got, e.Src) })
 	if len(got) != 1 || got[0] != addr(3) {
@@ -225,7 +226,7 @@ func TestObservationsOverlapExcludesSource(t *testing.T) {
 func TestObservationsPrune(t *testing.T) {
 	cfg := DefaultConfig()
 	o := newObservations(cfg)
-	o.upsert(obsKey{Src: addr(1), VSeq: 1}, addr(2), 0, 0, 10*sim.Millisecond, 0)
+	o.upsert(addr(1), 1, addr(2), 0, 0, 10*sim.Millisecond, 0)
 	o.prune(10*sim.Millisecond + o.retention() + 1)
 	if o.size() != 0 {
 		t.Errorf("prune left %d entries", o.size())

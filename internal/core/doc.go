@@ -27,6 +27,29 @@
 // dissemination mode, and the ablation switches (DisableTrailers,
 // BackoffOnMissingAck) reproduce the paper's design-choice comparisons.
 //
+// # The observation table
+//
+// Each node keeps the transmissions it has overheard (observe.go): the
+// §3.2 ongoing list, generalised into a short history that also serves
+// the receiver's per-slot loss attribution (§3.1). It holds live state
+// only and is pruned on both paths:
+//
+//   - the sender, before every access decision, drops entries that
+//     ended more than the retention (two full virtual-packet airtimes)
+//     ago;
+//   - the receiver, before attributing a finished virtual packet v,
+//     drops entries that ended before min(now − retention, v.start).
+//     No slot of v can overlap such an entry, and the horizon is never
+//     later than the sender's, so neither reader loses an entry it
+//     could still use.
+//
+// Nodes that only receive therefore hold a handful of entries however
+// long the run, instead of every transmission they ever overheard. The
+// table is a flat slice in insertion order (canonical (Src, VSeq) order
+// after a checkpoint restore); the attribution and ongoing-list
+// callbacks commute, so the order never reaches a result, which
+// TestObservationOrderIndependent and FuzzObservations pin.
+//
 // # Traffic
 //
 // SetSaturated is the paper's always-backlogged model. Enqueue/Backlog

@@ -170,6 +170,11 @@ type Node struct {
 	ackFree     []*ackAttempt
 	inflightAck *ackAttempt
 
+	// finalized, when set, observes the start of every inbound virtual
+	// packet finalizeVpkt closes, after its attribution (a test seam on
+	// the observation table's lifetime).
+	finalized func(start sim.Time)
+
 	stat Stats
 }
 

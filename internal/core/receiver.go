@@ -186,7 +186,16 @@ func (n *Node) finalizeVpkt(f *rxFlow) {
 
 	// Per-packet attribution: a lost (or received) packet slot is
 	// evidence about every transmission that overlapped its airtime.
+	// Every slot's midpoint is after v.start, so an entry that ended
+	// before it cannot match; pruning to min(now − retention, v.start)
+	// keeps the scan to live entries without dropping one the sender's
+	// own prune (horizon now − retention) would still keep.
 	now := n.sched.Now()
+	horizon := now - n.obs.retention()
+	if v.start < horizon {
+		horizon = v.start
+	}
+	n.obs.pruneBefore(horizon)
 	hdr := n.cfg.controlAirtime()
 	per := n.cfg.dataAirtime()
 	for i := 0; i < v.expected; i++ {
@@ -218,6 +227,9 @@ func (n *Node) finalizeVpkt(f *rxFlow) {
 		if st.Expected >= float64(n.cfg.MinInterfSamples) && st.lossRate() > n.cfg.LossInterf {
 			n.interferers[k] = now + n.cfg.InterfTimeout
 		}
+	}
+	if n.finalized != nil {
+		n.finalized(v.start)
 	}
 }
 

@@ -114,10 +114,14 @@ func BenchmarkScaleTraffic(b *testing.B) {
 
 // BenchmarkSaturatedSteadyState measures 20 ms windows of saturated
 // traffic on a persistent network — construction excluded, the regime
-// the zero-allocation transmit path targets.
+// the zero-allocation transmit path targets — for csma at every scale
+// size and for cmap through FlowSim at n=1000, early and after warm-up.
 func BenchmarkSaturatedSteadyState(b *testing.B) {
 	for _, n := range ScaleSizes {
 		b.Run(fmt.Sprintf("n=%d", n), BenchSaturatedSteadyState(n))
+	}
+	for _, r := range CMAPSteadyStateRows {
+		b.Run(r.Name, BenchSaturatedFlowSim(CMAP, 1000, r.Warm))
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"repro/internal/csma"
 	"repro/internal/geo"
 	"repro/internal/medium"
+	"repro/internal/phy"
 	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -255,6 +256,56 @@ func BenchSaturatedSteadyState(n int) func(b *testing.B) {
 	}
 }
 
+// CMAPSteadyStateRows are the cmap steady-state rows at n=1000, named
+// under SaturatedSteadyState/: the first windows after the cold start,
+// and windows after 10 simulated seconds. A per-window cost that grows
+// with simulated time (a table that is never pruned, say) shows as the
+// late row pulling away from the early one.
+var CMAPSteadyStateRows = []struct {
+	Name string
+	Warm sim.Time
+}{
+	{"arm=cmap/n=1000", 0},
+	{"arm=cmap/n=1000/warm=10s", 10 * sim.Second},
+}
+
+// BenchSaturatedFlowSim measures 20 ms virtual-time windows of saturated
+// traffic under the given MAC arm on a persistent n-node FlowSim: the
+// ScaleFlows flow set on the ScaleDensity disk, advanced past the 20 ms
+// cold start plus warm of simulated time before the timer starts.
+func BenchSaturatedFlowSim(arm Protocol, n int, warm sim.Time) func(b *testing.B) {
+	var (
+		tb    *topo.Testbed
+		flows []topo.Link
+	)
+	return func(b *testing.B) {
+		if tb == nil {
+			s := topo.UniformDisk(n, ScaleDensity, 1)
+			tb = s.Testbed()
+			flows = ScaleFlows(s, s.Build(sim.NewScheduler(), sim.NewRNG(1)), n/10+2)
+		}
+		if len(flows) == 0 {
+			b.Fatalf("no flows at n=%d", n)
+		}
+		fs, err := NewFlowSim(tb, FlowSimConfig{
+			Arm:      arm,
+			Flows:    flows,
+			Duration: warm + 20*sim.Millisecond + sim.Time(b.N)*20*sim.Millisecond,
+			Rate:     phy.Rate6Mbps,
+			Seed:     1,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		fs.Run(warm + 20*sim.Millisecond)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			fs.Run(fs.Now() + 20*sim.Millisecond)
+		}
+	}
+}
+
 // BenchShardedSteadyState measures 20 ms virtual-time windows of
 // saturated traffic on a persistent n-node sharded engine. shards=1 is
 // the serial engine through the same fixture, so the shards>1 rows read
@@ -362,6 +413,12 @@ func ScaleBenchmarks() []ScaleBenchmark {
 		out = append(out, ScaleBenchmark{
 			Name: fmt.Sprintf("SaturatedSteadyState/n=%d", n),
 			Run:  BenchSaturatedSteadyState(n),
+		})
+	}
+	for _, r := range CMAPSteadyStateRows {
+		out = append(out, ScaleBenchmark{
+			Name: "SaturatedSteadyState/" + r.Name,
+			Run:  BenchSaturatedFlowSim(CMAP, 1000, r.Warm),
 		})
 	}
 	for _, n := range ScaleSizes {

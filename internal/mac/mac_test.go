@@ -2,6 +2,8 @@ package mac
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -27,7 +29,22 @@ func (a fakeArm) New(id int, net Network, rng *sim.RNG, opt Options) Node {
 // The mac package itself imports no protocol package, so the registry
 // seen by these tests contains exactly what they put in it.
 
+// isolateRegistry restores the registry to its current contents when
+// the calling test ends, so a test's registrations do not survive into
+// a repeat run of the same test (-count) and trip the duplicate guard.
+func isolateRegistry(t *testing.T) {
+	regMu.Lock()
+	c, m, f := maps.Clone(concrete), maps.Clone(cache), slices.Clone(families)
+	regMu.Unlock()
+	t.Cleanup(func() {
+		regMu.Lock()
+		concrete, cache, families = c, m, f
+		regMu.Unlock()
+	})
+}
+
 func TestRegisterAndLookup(t *testing.T) {
+	isolateRegistry(t)
 	Register(fakeArm{name: "zz-test-a", salt: 101})
 	Register(fakeArm{name: "zz-test-b", salt: 102})
 	a, err := Lookup("zz-test-a")
@@ -43,6 +60,7 @@ func TestRegisterAndLookup(t *testing.T) {
 }
 
 func TestRegisterDuplicatePanics(t *testing.T) {
+	isolateRegistry(t)
 	Register(fakeArm{name: "zz-dup"})
 	defer func() {
 		if recover() == nil {
@@ -53,6 +71,7 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 }
 
 func TestRegisterEmptyNamePanics(t *testing.T) {
+	isolateRegistry(t)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("empty-name Register did not panic")
@@ -62,6 +81,7 @@ func TestRegisterEmptyNamePanics(t *testing.T) {
 }
 
 func TestLookupUnknownListsChoices(t *testing.T) {
+	isolateRegistry(t)
 	Register(fakeArm{name: "zz-known"})
 	_, err := Lookup("zz-definitely-not-registered")
 	if err == nil {
@@ -85,6 +105,7 @@ func TestMustLookupUnknownPanics(t *testing.T) {
 }
 
 func TestFamilyLookupParsesAndCaches(t *testing.T) {
+	isolateRegistry(t)
 	parses := 0
 	RegisterFamily("zzfam@", "zzfam@<n>", func(name string) (Arm, error) {
 		parses++
@@ -122,6 +143,7 @@ func TestFamilyLookupParsesAndCaches(t *testing.T) {
 }
 
 func TestRegisterFamilyDuplicatePrefixPanics(t *testing.T) {
+	isolateRegistry(t)
 	RegisterFamily("zzdupfam@", "zzdupfam@<n>", func(name string) (Arm, error) {
 		return fakeArm{name: name}, nil
 	})
@@ -136,6 +158,7 @@ func TestRegisterFamilyDuplicatePrefixPanics(t *testing.T) {
 }
 
 func TestRegisterFamilyEmptyPrefixPanics(t *testing.T) {
+	isolateRegistry(t)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("empty-prefix RegisterFamily did not panic")
@@ -145,6 +168,7 @@ func TestRegisterFamilyEmptyPrefixPanics(t *testing.T) {
 }
 
 func TestNamesSortedWithFamilyHints(t *testing.T) {
+	isolateRegistry(t)
 	Register(fakeArm{name: "zz-names-b"})
 	Register(fakeArm{name: "zz-names-a"})
 	RegisterFamily("zznames@", "zznames@<n>", func(name string) (Arm, error) {
